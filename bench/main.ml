@@ -12,7 +12,7 @@
      bech         Bechamel micro-benchmarks
      bdd          BDD kernel ops/s (and/ite/exists/and_exists) -> BENCH_bdd.json
      par [jobs]   parallel scaling (fuzz + scaled designs, seq vs
-                  share-nothing vs shared-work)  -> BENCH_par.json
+                  shared-work)  -> BENCH_par.json
      scale [small] [--check]
                   TR-strategy curves (mono vs part vs iso) over the
                   hierarchical scaled families -> BENCH_scale.json;
@@ -440,7 +440,7 @@ let host_cores () =
       close_in ic;
       if !n > 0 then !n else Hsis_par.Par.default_jobs ()
 
-let bdd_bench ?(kernel_jobs = 2) () =
+let bdd_bench () =
   pr "@.== BDD kernel micro-benchmarks ==@.";
   let open Hsis_bdd in
   let seed = ref 0x2545F49 in
@@ -605,99 +605,6 @@ let bdd_bench ?(kernel_jobs = 2) () =
   let k_exists = kernel "exists" exists_kernel in
   let k_image = image_rounds "and_exists" image_kernel in
   let kernels = [ k_and; k_ite; k_exists; k_image ] in
-  (* Intra-operation parallel rows: the same deterministic workload per
-     kernel, once with kernel_jobs = 1 (the allocation-free sequential
-     path) and once with kernel_jobs = [kernel_jobs]; the two results are
-     compared for canonical equality through a snapshot round-trip, so a
-     speedup can never come from computing a different function.  On a
-     single-core host the kj>1 row measures overhead, not speedup — the
-     JSON records both times so the reader can judge against host_cores. *)
-  let intra_ite man3 =
-    seed := 0xC0FFEE;
-    let v = Array.init nvars (fun _ -> Bdd.new_var man3) in
-    let rec rf depth =
-      if depth = 0 then begin
-        let b = v.(rand nvars) in
-        if rand 2 = 0 then b else Bdd.dnot b
-      end
-      else begin
-        let a = rf (depth - 1) in
-        let b = rf (depth - 1) in
-        match rand 3 with
-        | 0 -> Bdd.dand a b
-        | 1 -> Bdd.dor a b
-        | _ -> Bdd.xor a b
-      end
-    in
-    let p = Array.init 16 (fun _ -> rf 6) in
-    fun () ->
-      (* keep every result as its own root instead of folding them into
-         one accumulator: an xor chain over random functions blows up
-         exponentially, and the comparison below wants the individual
-         answers anyway *)
-      let out = ref [] in
-      let ops = ref 0 in
-      for i = 0 to 15 do
-        for j = 0 to 15 do
-          out := Bdd.ite p.(i) p.(j) p.((i + j) mod 16) :: !out;
-          incr ops
-        done
-      done;
-      (!ops, List.rev !out)
-  in
-  let intra_image man3 =
-    let inputs = eca_setup man3 in
-    fun () ->
-      (* several full BFS fixpoints so the row measures more than one
-         cache-cold traversal; each round re-does real work because gc
-         flushes the computed cache *)
-      let ops = ref 0 in
-      let reached = ref [] in
-      for _ = 1 to 6 do
-        let o, r = image_bfs inputs in
-        ops := !ops + o;
-        reached := r :: !reached;
-        ignore (Bdd.gc man3)
-      done;
-      (!ops, !reached)
-  in
-  let intra_case name mk =
-    let run jobs =
-      let m = Bdd.new_man ~kernel_jobs:jobs () in
-      let work = mk m in
-      ignore (Bdd.gc m);
-      let (ops, result), dt = wall work in
-      (m, ops, result, dt)
-    in
-    let m1, ops1, r1, t1 = run 1 in
-    let mn, _opsn, rn, tn = run kernel_jobs in
-    let agree =
-      let back = Bdd.import m1 (Bdd.export mn rn) in
-      List.length back = List.length r1 && List.for_all2 Bdd.equal back r1
-    in
-    Bdd.set_kernel_jobs mn 1 (* park the worker domains *);
-    if not agree then begin
-      Printf.eprintf
-        "bench bdd: intra %s results diverge across kernel_jobs\n" name;
-      exit 1
-    end;
-    let speedup = if tn > 0.0 then t1 /. tn else 0.0 in
-    pr "  intra %-8s kj=1 %7.3fs  kj=%d %7.3fs  speedup %5.2fx  agree %b@."
-      name t1 kernel_jobs tn speedup agree;
-    Obs.Json.Obj
-      [
-        ("kernel", Obs.Json.Str name);
-        ("ops", Obs.Json.Int ops1);
-        ("kj1_time_s", Obs.Json.Float t1);
-        ("kjn", Obs.Json.Int kernel_jobs);
-        ("kjn_time_s", Obs.Json.Float tn);
-        ("speedup", Obs.Json.Float speedup);
-        ("results_agree", Obs.Json.Bool agree);
-      ]
-  in
-  let intra_rows =
-    [ intra_case "ite" intra_ite; intra_case "and_exists" intra_image ]
-  in
   let j =
     Obs.Json.Obj
       [
@@ -706,10 +613,8 @@ let bdd_bench ?(kernel_jobs = 2) () =
         ("pool_vars", Obs.Json.Int nvars);
         ("image_bits", Obs.Json.Int bits);
         ("rounds", Obs.Json.Int rounds);
-        ("kernel_jobs", Obs.Json.Int kernel_jobs);
         ("host_cores", Obs.Json.Int (host_cores ()));
         ("kernels", Obs.Json.List kernels);
-        ("intra", Obs.Json.List intra_rows);
         ("obs", Obs.to_json (Obs.snapshot (Bdd.stats man)));
         ("obs_image", Obs.to_json (Obs.snapshot (Bdd.stats man2)));
       ]
@@ -718,17 +623,18 @@ let bdd_bench ?(kernel_jobs = 2) () =
   pr "wrote BENCH_bdd.json@."
 
 (* ------------------------------------------------------------------ *)
-(* Parallel scaling -> BENCH_par.json (schema hsis-par/3; /3 added the
-   additive [recommended_domains] and [host_cores] members).
+(* Parallel scaling -> BENCH_par.json (schema hsis-par/4; /3 added the
+   additive [recommended_domains] and [host_cores] members, /4 dropped the
+   share-nothing [sn_s] / [speedup_vs_sn] columns with that mode).
 
    - fuzz: differential iterations spread over worker domains.  Also
      cross-checks the determinism contract: the parallel report (minus
      elapsed/pool members) must be byte-identical to the sequential one.
    - scaled: each parameterized design (ring / philos at benchmark sizes)
-     measured four ways — sequential [run_pif], shared-work [-j 1]
-     (no-regression check), shared-work [-j jobs] (snapshot-shipped TR and
-     reach set), and share-nothing [-j jobs] (every task rebuilds from
-     source).  Verdict strings and exit codes must agree across all four.
+     measured three ways — sequential [run_pif], shared-work [-j 1]
+     (no-regression check) and shared-work [-j jobs] (snapshot-shipped TR
+     and reach set).  Verdict strings and exit codes must agree across
+     all three.
 
    Each (design, mode) cell runs in a fresh process (the bench re-execs
    itself with the hidden [_par-probe] subcommand): back-to-back in-process
@@ -758,8 +664,7 @@ let par_probe name mode jobs =
     wall (fun () ->
         match mode with
         | "seq" -> (Hsis.run_pif ~witnesses:false d pif, Obs.merge [])
-        | "sw" -> Hsis.run_pif_par ~witnesses:false ~share:true ~jobs d pif
-        | "sn" -> Hsis.run_pif_par ~witnesses:false ~share:false ~jobs d pif
+        | "sw" -> Hsis.run_pif_par ~witnesses:false ~jobs d pif
         | _ -> failwith ("par probe: unknown mode " ^ mode))
   in
   let snap = obs.Obs.man.Obs.snap in
@@ -817,21 +722,19 @@ let scaled_row ~jobs name =
   let p_seq = run_probe name "seq" 1 in
   let p_sw1 = run_probe name "sw" 1 in
   let p_sw = run_probe name "sw" jobs in
-  let p_sn = run_probe name "sn" jobs in
   let agree =
     List.for_all
       (fun p -> p.pb_verdicts = p_seq.pb_verdicts && p.pb_exit = p_seq.pb_exit)
-      [ p_sw1; p_sw; p_sn ]
+      [ p_sw1; p_sw ]
   in
-  let speedup_vs_sn = p_sn.pb_time /. Float.max 1e-9 p_sw.pb_time in
   let speedup_vs_seq = p_seq.pb_time /. Float.max 1e-9 p_sw.pb_time in
   let j1_ratio = p_sw1.pb_time /. Float.max 1e-9 p_seq.pb_time in
   let e, i, n, b = p_sw.pb_snap in
   pr
-    "  %-8s seq %6.2fs  sw-j1 %6.2fs (%.2fx)  sw-j%d %6.2fs  sn-j%d %6.2fs  \
-     vs-sn %5.2fx  vs-seq %5.2fx  agree %b@."
-    name p_seq.pb_time p_sw1.pb_time j1_ratio jobs p_sw.pb_time jobs
-    p_sn.pb_time speedup_vs_sn speedup_vs_seq agree;
+    "  %-8s seq %6.2fs  sw-j1 %6.2fs (%.2fx)  sw-j%d %6.2fs  vs-seq %5.2fx  \
+     agree %b@."
+    name p_seq.pb_time p_sw1.pb_time j1_ratio jobs p_sw.pb_time
+    speedup_vs_seq agree;
   let row =
     Obs.Json.Obj
       [
@@ -841,8 +744,6 @@ let scaled_row ~jobs name =
         ("seq_s", Obs.Json.Float p_seq.pb_time);
         ("sw_j1_s", Obs.Json.Float p_sw1.pb_time);
         ("sw_s", Obs.Json.Float p_sw.pb_time);
-        ("sn_s", Obs.Json.Float p_sn.pb_time);
-        ("speedup_vs_sn", Obs.Json.Float speedup_vs_sn);
         ("speedup_vs_seq", Obs.Json.Float speedup_vs_seq);
         ("j1_ratio", Obs.Json.Float j1_ratio);
         ("verdicts_agree", Obs.Json.Bool agree);
@@ -894,7 +795,7 @@ let par_bench ?(jobs = 4) () =
     Obs.Json.Obj
       [
         ("bench", Obs.Json.Str "par");
-        ("schema", Obs.Json.Str "hsis-par/3");
+        ("schema", Obs.Json.Str "hsis-par/4");
         ("obs_schema", Obs.Json.Str Obs.schema_version);
         ("jobs", Obs.Json.Int jobs);
         ("cores", Obs.Json.Int (Par.default_jobs ()));
@@ -1203,7 +1104,6 @@ let serve_bench ?(clients = 2) ?(jobs_per_client = 20) () =
       r_pif = pif;
       r_budget = Proto.no_budget;
       r_jobs = None;
-      r_kernel_jobs = None;
       r_tr = None;
       r_fail_fast = false;
       r_witnesses = false;
@@ -1428,14 +1328,7 @@ let () =
   | "ablate-dc" -> ablate_dc ()
   | "ablate-efd" -> ablate_efd ()
   | "bech" -> run_bechamel ()
-  | "bdd" ->
-      let kj = ref 2 in
-      Array.iteri
-        (fun i a ->
-          if a = "--kernel-jobs" && i + 1 < Array.length Sys.argv then
-            kj := int_of_string Sys.argv.(i + 1))
-        Sys.argv;
-      bdd_bench ~kernel_jobs:!kj ()
+  | "bdd" -> bdd_bench ()
   | "par" ->
       let jobs =
         if Array.length Sys.argv > 2 then int_of_string Sys.argv.(2) else 4

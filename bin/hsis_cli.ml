@@ -105,7 +105,7 @@ let emit_stats snap sf =
 (* ------------------------------------------------------------------ *)
 
 let check_cmd verilog blifmv builtin pif_path heuristic tr no_early witness
-    jobs kernel_jobs fail_fast simplify budget sf () =
+    jobs fail_fast simplify budget sf () =
   wrap (fun () ->
       let session, builtin_pif =
         open_session ~tr verilog blifmv builtin heuristic
@@ -123,7 +123,7 @@ let check_cmd verilog blifmv builtin pif_path heuristic tr no_early witness
          sequential --fail-fast run is just a one-worker pool *)
       let report, merged_snap =
         Hsis.Session.run ~early_failure:(not no_early) ~witnesses:witness
-          ~fail_fast ~jobs ~kernel_jobs ~limits:(arm_budget budget) session
+          ~fail_fast ~jobs ~limits:(arm_budget budget) session
           pif
       in
       Format.printf "%a" Hsis.pp_report report;
@@ -155,12 +155,10 @@ let check_cmd verilog blifmv builtin pif_path heuristic tr no_early witness
       Hsis.Session.close session;
       Hsis.report_exit_code report)
 
-let reach_cmd verilog blifmv builtin heuristic tr kernel_jobs simplify budget
-    sf () =
+let reach_cmd verilog blifmv builtin heuristic tr simplify budget sf () =
   wrap (fun () ->
       let session, _ = open_session ~tr verilog blifmv builtin heuristic in
       let design = Hsis.Session.design session in
-      Hsis.set_kernel_jobs design kernel_jobs;
       Hsis.set_reach_profile design (want_stats sf);
       Hsis.set_reach_simplify design simplify;
       let r = Hsis.reachable ~limits:(arm_budget budget) design in
@@ -408,9 +406,23 @@ let max_steps_arg =
           "Fixpoint iteration budget (inconclusive + exit 4 when \
            exceeded).")
 
+(* Worker counts come from outside input, so they are bounded here: a
+   count the runtime cannot spawn is a usage error, not a crash. *)
+let jobs_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 && n <= Hsis_par.Par.max_jobs -> Ok n
+    | _ ->
+        Error
+          (`Msg
+            (Printf.sprintf "expected an integer between 1 and %d, got %S"
+               Hsis_par.Par.max_jobs s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let jobs_arg =
   Arg.(
-    value & opt int 1
+    value & opt jobs_conv 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains.  With $(docv) > 1 the work (one property per \
@@ -420,19 +432,6 @@ let jobs_arg =
            stay share-nothing — every seed is a different design); \
            results are collected in task order, so verdicts and findings \
            match a sequential run.")
-
-let kernel_jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "kernel-jobs" ] ~docv:"N"
-        ~doc:
-          "Intra-operation parallelism.  With $(docv) > 1 the BDD \
-           manager's and/ite/exists/and_exists kernels fork their \
-           cofactor recursions onto a persistent domain pool, speeding \
-           up a single large operation.  Orthogonal to $(b,--jobs) \
-           (which parallelizes across properties); the two multiply, so \
-           keep jobs * kernel-jobs within the host's cores.  Results \
-           are bit-identical across values.")
 
 let fail_fast_arg =
   Arg.(
@@ -474,19 +473,19 @@ let check =
                when a resource budget left some verdict inconclusive.";
          ])
     Term.(
-      const (fun a b c d e f g h i j k l m n ->
-          check_cmd a b c d e f g h i j k l m n ())
+      const (fun a b c d e f g h i j k l m ->
+          check_cmd a b c d e f g h i j k l m ())
       $ verilog_arg $ blifmv_arg $ builtin_arg $ pif_arg $ heuristic_arg
-      $ tr_arg $ no_early_arg $ witness_arg $ jobs_arg $ kernel_jobs_arg
-      $ fail_fast_arg $ simplify_arg $ budget_term $ stats_term)
+      $ tr_arg $ no_early_arg $ witness_arg $ jobs_arg $ fail_fast_arg
+      $ simplify_arg $ budget_term $ stats_term)
 
 let reach =
   Cmd.v
     (Cmd.info "reach" ~doc:"compute the reachable state set")
     Term.(
-      const (fun a b c d e f g h i -> reach_cmd a b c d e f g h i ())
+      const (fun a b c d e f g h -> reach_cmd a b c d e f g h ())
       $ verilog_arg $ blifmv_arg $ builtin_arg $ heuristic_arg $ tr_arg
-      $ kernel_jobs_arg $ simplify_arg $ budget_term $ stats_term)
+      $ simplify_arg $ budget_term $ stats_term)
 
 let sim =
   Cmd.v

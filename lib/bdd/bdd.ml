@@ -11,12 +11,9 @@ let wrap man node =
 let same_man a b =
   if a.man != b.man then invalid_arg "Bdd: handles from different managers"
 
-let new_man ?initial_capacity ?kernel_jobs () =
-  Man.create ?initial_capacity ?kernel_jobs ()
+let new_man ?initial_capacity () = Man.create ?initial_capacity ()
 
 let man_of h = h.man
-let set_kernel_jobs = Man.set_kernel_jobs
-let kernel_jobs = Man.kernel_jobs
 let num_vars = Man.num_vars
 let node_count = Man.node_count
 

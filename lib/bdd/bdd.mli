@@ -12,18 +12,8 @@ type t
 (** A BDD handle.  Structural equality of functions is pointer equality,
     exposed as {!equal}. *)
 
-val new_man : ?initial_capacity:int -> ?kernel_jobs:int -> unit -> man
-(** Create a fresh manager with no variables.  [kernel_jobs] (default 1)
-    sets the intra-operation parallelism degree: with more than one job
-    the [and]/[ite]/[exists]/[and_exists] kernels fork their cofactor
-    recursions onto a persistent domain pool.  Results are bit-identical
-    across job counts. *)
-
-val set_kernel_jobs : man -> int -> unit
-(** Change the intra-operation parallelism degree (clamped to >= 1); safe
-    between operations. *)
-
-val kernel_jobs : man -> int
+val new_man : ?initial_capacity:int -> unit -> man
+(** Create a fresh manager with no variables. *)
 
 val new_var : ?name:string -> man -> t
 (** Allocate a fresh variable at the bottom of the current order and return

@@ -58,33 +58,6 @@ type subtable = {
   mutable st_count : int; (* nodes currently chained in this subtable *)
 }
 
-(* Per-domain kernel context for intra-operation parallel mode
-   (kernel_jobs > 1).  Each domain owns a private direct-mapped computed
-   cache — lossy and coherence-free, since every entry is a canonical
-   (op, f, g) -> result truth, so domains missing each other's results
-   costs recomputation, never soundness — plus a private allocation chunk
-   carved off the shared arena bump region and private countdown/counter
-   state.  The parallel recursion therefore mutates no shared field
-   outside the per-variable unique-table locks. *)
-type dctx = {
-  dc_cache : int array; (* 4 ints per entry (tag, f, g, result) *)
-  dc_mask : int;
-  mutable dc_hits : int;
-  mutable dc_misses : int;
-  mutable dc_checks : int; (* budget polls performed by this domain *)
-  mutable dc_countdown : int; (* cache misses until the next budget poll *)
-  mutable dc_cutoff : int; (* recursions kept inline by the depth cutoff *)
-  mutable dc_waits : int; (* unique-table lock acquisitions that blocked *)
-  mutable dc_chunk_start : int; (* current chunk: [start, cursor) consumed *)
-  mutable dc_chunk : int; (* next free id; = dc_chunk_end when exhausted *)
-  mutable dc_chunk_end : int;
-  mutable dc_ranges : (int * int) list; (* consumed ranges, finished chunks *)
-}
-
-(* Registry of every context a manager handed out, so sequential code
-   (cache wipes, stats, section fixup) can enumerate them. *)
-type dreg = { reg_lock : Mutex.t; mutable reg_all : dctx list }
-
 type t = {
   mutable var_arr : int array; (* node -> variable index, -1 when free *)
   mutable lo_arr : int array; (* node -> else-child; freelist thread when free *)
@@ -137,36 +110,14 @@ type t = {
   mutable snap_bytes : int;
   mutable snap_export_time : float;
   mutable snap_import_time : float;
-  (* intra-operation parallel mode; see "Parallel kernels" below *)
-  mutable kernel_jobs : int;
-  mutable pool : Hsis_par.Pool.t option; (* lazily created kernel pool *)
-  mutable dctx_key : dctx Domain.DLS.key option; (* lazily created *)
-  dreg : dreg;
-  mutable vlocks : Mutex.t array; (* one unique-table lock per variable *)
-  alloc_lock : Mutex.t; (* guards chunk refills off the bump region *)
-  par_abort : bool Atomic.t; (* budget breach flag, polled by all domains *)
-  mutable par_abort_reason : Limits.reason option;
-  mutable par_used0 : int; (* [used] at section entry, for live estimates *)
-  mutable par_fork_depth : int; (* fork cofactor tasks above this depth *)
-  mutable intra_ops : int; (* top-level ops run as parallel sections *)
-  mutable intra_forked0 : int; (* fork/steal counts of retired pools *)
-  mutable intra_stolen0 : int;
 }
 
 let initial_cache_slots = 1 lsl 12
 let max_cache_slots = 1 lsl 21
 let initial_bucket_count = 16
 
-(* Granularity cutoff for the parallel recursion: enough forks to give
-   every domain a few tasks to steal (2^d >= 4 * jobs) without flooding
-   the queue with microtasks. *)
-let fork_depth_for jobs =
-  let rec go d n = if n >= 4 * jobs then d else go (d + 1) (2 * n) in
-  go 0 1
-
-let create ?(initial_capacity = 1 lsl 12) ?(kernel_jobs = 1) () =
+let create ?(initial_capacity = 1 lsl 12) () =
   let cap = max 16 initial_capacity in
-  let kernel_jobs = max 1 kernel_jobs in
   {
     var_arr = Array.make cap (-1);
     lo_arr = Array.make cap (-1);
@@ -213,19 +164,6 @@ let create ?(initial_capacity = 1 lsl 12) ?(kernel_jobs = 1) () =
     snap_bytes = 0;
     snap_export_time = 0.0;
     snap_import_time = 0.0;
-    kernel_jobs;
-    pool = None;
-    dctx_key = None;
-    dreg = { reg_lock = Mutex.create (); reg_all = [] };
-    vlocks = [||];
-    alloc_lock = Mutex.create ();
-    par_abort = Atomic.make false;
-    par_abort_reason = None;
-    par_used0 = 0;
-    par_fork_depth = fork_depth_for kernel_jobs;
-    intra_ops = 0;
-    intra_forked0 = 0;
-    intra_stolen0 = 0;
   }
 
 let is_const u = u < 2
@@ -320,12 +258,6 @@ let new_var ?(name = "") m =
        Array.init (max 8 (2 * (v + 1))) (fun i ->
            if i < old then m.subtables.(i) else fresh_subtable ())
      else m.subtables);
-  m.vlocks <-
-    (let old = Array.length m.vlocks in
-     if v >= old then
-       Array.init (max 8 (2 * (v + 1))) (fun i ->
-           if i < old then m.vlocks.(i) else Mutex.create ())
-     else m.vlocks);
   m.perm.(v) <- v;
   m.invperm.(v) <- v;
   m.names.(v) <- name;
@@ -435,20 +367,9 @@ let cache_wipe m =
   Array.fill m.cache 0 (Array.length m.cache) (-1);
   m.cache_used <- 0
 
-let dctx_wipe dc = Array.fill dc.dc_cache 0 (Array.length dc.dc_cache) (-1)
-
-(* The per-domain caches of the parallel kernels record the same node-id
-   facts as the global computed cache, so anything that invalidates the
-   global cache (collection, sifting, a budget breach) invalidates them
-   identically. *)
 let clear_caches m =
   cache_wipe m;
-  Hashtbl.reset m.satcache;
-  let reg = m.dreg in
-  Mutex.lock reg.reg_lock;
-  let dcs = reg.reg_all in
-  Mutex.unlock reg.reg_lock;
-  List.iter dctx_wipe dcs
+  Hashtbl.reset m.satcache
 
 (* ------------------------------------------------------------------ *)
 (* Resource governor *)
@@ -870,567 +791,6 @@ let rec apply_constrain m f c =
       cache_store m op_constrain f c r;
       r
     end
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Intra-operation parallel kernels *)
-
-(* When [kernel_jobs > 1] the recursive apply operators above get parallel
-   twins that fork the two cofactor recursions onto a persistent domain
-   pool.  The protocol, piece by piece:
-
-   - Unique table: each variable's subtable gets its own [Mutex.t]
-     ([vlocks]); [mk_locked] probes and inserts under that lock, so two
-     domains can build nodes of different variables with no interaction at
-     all, and the lock doubles as the publication fence: any node id read
-     out of a chain was fully initialised before its inserter released the
-     lock that the reader now holds.
-
-   - Allocation: domains carve [par_chunk]-sized ranges off the arena tail
-     under [alloc_lock] and bump-allocate privately within them.  The
-     arena arrays are NEVER grown during a section (growth replaces the
-     arrays, which would race with every concurrent read); instead
-     [run_parallel] pre-reserves generous headroom and chunk refill raises
-     [Par_overflow] when it runs out, which quiesces the section and
-     retries the operation on the sequential path.
-
-   - Refcounts: [mk_locked] does not touch [rc_arr]/[nodecount]/
-     [deadcount] — those are manager-global and would race.  After the
-     section quiesces, [section_fixup] replays the bookkeeping
-     sequentially: consumed chunk ranges are counted into
-     nodecount/deadcount, then children get their [incr_ref]; unconsumed
-     slots go back on the free list.  This preserves the audit invariant
-     [free + nodecount = used - 2] exactly.
-
-   - Computed caches: each domain keeps a private direct-mapped lossy
-     cache ([dctx]) — no coherence needed, a miss only costs recomputation
-     and the unique table deduplicates the result.  [clear_caches] wipes
-     them together with the global cache.
-
-   - Limits: every domain polls the budget on its own cache-miss
-     countdown; a breach flips the shared [par_abort] flag and raises
-     [Par_abort] everywhere, the forker always joins its futures (so the
-     section quiesces even on exceptional unwind), and the top-level
-     handler runs the refcount fixup, wipes all caches, and re-raises as
-     a normal [Interrupted] — keeping the audit-clean breach invariant.
-
-   GC-finalizer safety: [Bdd.t] handles are allocated only on the domain
-   that owns the manager, so [decr_ref] finalizers can only run there, and
-   that domain is busy inside the section — no concurrent rc mutation. *)
-
-module Pool = Hsis_par.Pool
-
-exception Par_overflow
-exception Par_abort
-
-let par_chunk = 512
-let dctx_cache_slots = 1 lsl 13
-
-let new_dctx () =
-  {
-    dc_cache = Array.make (4 * dctx_cache_slots) (-1);
-    dc_mask = dctx_cache_slots - 1;
-    dc_hits = 0;
-    dc_misses = 0;
-    dc_checks = 0;
-    dc_countdown = limit_poll_interval;
-    dc_cutoff = 0;
-    dc_waits = 0;
-    dc_chunk_start = 0;
-    dc_chunk = 0;
-    dc_chunk_end = 0;
-    dc_ranges = [];
-  }
-
-(* The DLS key is created lazily per manager (a program churning through
-   many managers would otherwise leak DLS keyspace).  The initializer
-   registers the fresh context in the manager's registry so stats and
-   cache wipes can reach contexts owned by other domains. *)
-let ensure_dctx_key m =
-  match m.dctx_key with
-  | Some k -> k
-  | None ->
-      let reg = m.dreg in
-      let k =
-        Domain.DLS.new_key (fun () ->
-            let dc = new_dctx () in
-            Mutex.lock reg.reg_lock;
-            reg.reg_all <- dc :: reg.reg_all;
-            Mutex.unlock reg.reg_lock;
-            dc)
-      in
-      m.dctx_key <- Some k;
-      k
-
-let get_dctx m =
-  match m.dctx_key with
-  | Some k -> Domain.DLS.get k
-  | None -> Domain.DLS.get (ensure_dctx_key m)
-
-let ensure_pool m =
-  match m.pool with
-  | Some p -> p
-  | None ->
-      ignore (ensure_dctx_key m);
-      let p = Pool.create ~jobs:m.kernel_jobs in
-      m.pool <- Some p;
-      p
-
-(* Chunked bump allocation.  Lock order: a domain holding a vlock may take
-   [alloc_lock] (via [mk_locked] -> [alloc_par] -> here); nothing holding
-   [alloc_lock] ever takes a vlock, so there is no cycle. *)
-let refill_chunk m dc =
-  Mutex.lock m.alloc_lock;
-  let start = m.used in
-  if start + par_chunk > Array.length m.var_arr then begin
-    Mutex.unlock m.alloc_lock;
-    raise Par_overflow
-  end;
-  m.used <- start + par_chunk;
-  Mutex.unlock m.alloc_lock;
-  if dc.dc_chunk_start < dc.dc_chunk then
-    dc.dc_ranges <- (dc.dc_chunk_start, dc.dc_chunk) :: dc.dc_ranges;
-  dc.dc_chunk_start <- start;
-  dc.dc_chunk <- start;
-  dc.dc_chunk_end <- start + par_chunk
-
-let[@inline] alloc_par m dc =
-  if dc.dc_chunk >= dc.dc_chunk_end then refill_chunk m dc;
-  let id = dc.dc_chunk in
-  dc.dc_chunk <- id + 1;
-  id
-
-(* Parallel twin of [mk]: probe/insert under the variable's lock,
-   allocating from the domain's private chunk.  Deliberately does NOT
-   maintain nodecount/deadcount or child refcounts — [section_fixup]
-   replays those once the section quiesces. *)
-let mk_locked m dc v lo_child hi_child =
-  if lo_child = hi_child then lo_child
-  else begin
-    let lk = m.vlocks.(v) in
-    if not (Mutex.try_lock lk) then begin
-      dc.dc_waits <- dc.dc_waits + 1;
-      Mutex.lock lk
-    end;
-    let st = m.subtables.(v) in
-    let mask = Array.length st.buckets - 1 in
-    let h = utbl_hash lo_child hi_child mask in
-    let rec find id =
-      if id < 0 then -1
-      else if m.lo_arr.(id) = lo_child && m.hi_arr.(id) = hi_child then id
-      else find m.next_arr.(id)
-    in
-    let found = find st.buckets.(h) in
-    if found >= 0 then begin
-      Mutex.unlock lk;
-      found
-    end
-    else begin
-      match alloc_par m dc with
-      | exception e ->
-          Mutex.unlock lk;
-          raise e
-      | id ->
-          m.var_arr.(id) <- v;
-          m.lo_arr.(id) <- lo_child;
-          m.hi_arr.(id) <- hi_child;
-          m.rc_arr.(id) <- 0;
-          m.next_arr.(id) <- st.buckets.(h);
-          st.buckets.(h) <- id;
-          st.st_count <- st.st_count + 1;
-          if st.st_count > 4 * (mask + 1) then grow_subtable m st;
-          Mutex.unlock lk;
-          id
-    end
-  end
-
-(* Cooperative budget poll, one per domain on its own miss countdown.
-   The live estimate adds the section's raw allocation to the pre-section
-   count — racy reads of [m.used] are fine for an estimate. *)
-let[@inline never] par_poll m dc =
-  dc.dc_countdown <- limit_poll_interval;
-  if Atomic.get m.par_abort then raise Par_abort;
-  if not (Limits.is_none m.limits) then begin
-    dc.dc_checks <- dc.dc_checks + 1;
-    let live = m.nodecount - m.deadcount + (m.used - m.par_used0) in
-    match Limits.breach m.limits ~live with
-    | None -> ()
-    | Some r ->
-        m.par_abort_reason <- Some r;
-        Atomic.set m.par_abort true;
-        raise Par_abort
-  end
-
-let[@inline] dcache_lookup m dc tag f g =
-  let i = 4 * cache_hash tag f g dc.dc_mask in
-  let c = dc.dc_cache in
-  if c.(i) = tag && c.(i + 1) = f && c.(i + 2) = g then begin
-    dc.dc_hits <- dc.dc_hits + 1;
-    c.(i + 3)
-  end
-  else begin
-    dc.dc_misses <- dc.dc_misses + 1;
-    dc.dc_countdown <- dc.dc_countdown - 1;
-    if dc.dc_countdown <= 0 then par_poll m dc;
-    -1
-  end
-
-let[@inline] dcache_store dc tag f g r =
-  let i = 4 * cache_hash tag f g dc.dc_mask in
-  let c = dc.dc_cache in
-  c.(i) <- tag;
-  c.(i + 1) <- f;
-  c.(i + 2) <- g;
-  c.(i + 3) <- r
-
-(* The parallel recursions mirror their sequential counterparts exactly —
-   same terminal cases, same operand normalization, same cache tags — but
-   route node creation through [mk_locked], caching through the domain
-   context, and the two cofactor calls through [par_pair]. *)
-let rec par_and m dc depth f g =
-  if f = g then f
-  else if f = false_id || g = false_id then false_id
-  else if f = true_id then g
-  else if g = true_id then f
-  else begin
-    let f, g = if f < g then (f, g) else (g, f) in
-    let r = dcache_lookup m dc op_and f g in
-    if r >= 0 then r
-    else begin
-      let v = top_of2 m f g in
-      let f0, f1 = cofactors m f v and g0, g1 = cofactors m g v in
-      let r0, r1 =
-        par_pair m dc depth
-          (fun dc d -> par_and m dc d f0 g0)
-          (fun dc d -> par_and m dc d f1 g1)
-      in
-      let r = mk_locked m dc v r0 r1 in
-      dcache_store dc op_and f g r;
-      r
-    end
-  end
-
-and par_or m dc depth f g =
-  if f = g then f
-  else if f = true_id || g = true_id then true_id
-  else if f = false_id then g
-  else if g = false_id then f
-  else begin
-    let f, g = if f < g then (f, g) else (g, f) in
-    let r = dcache_lookup m dc op_or f g in
-    if r >= 0 then r
-    else begin
-      let v = top_of2 m f g in
-      let f0, f1 = cofactors m f v and g0, g1 = cofactors m g v in
-      let r0, r1 =
-        par_pair m dc depth
-          (fun dc d -> par_or m dc d f0 g0)
-          (fun dc d -> par_or m dc d f1 g1)
-      in
-      let r = mk_locked m dc v r0 r1 in
-      dcache_store dc op_or f g r;
-      r
-    end
-  end
-
-and par_not m dc depth f =
-  if f = false_id then true_id
-  else if f = true_id then false_id
-  else begin
-    let r = dcache_lookup m dc op_not f 0 in
-    if r >= 0 then r
-    else begin
-      let v = m.var_arr.(f) in
-      let lo = m.lo_arr.(f) and hi = m.hi_arr.(f) in
-      let r0, r1 =
-        par_pair m dc depth
-          (fun dc d -> par_not m dc d lo)
-          (fun dc d -> par_not m dc d hi)
-      in
-      let r = mk_locked m dc v r0 r1 in
-      dcache_store dc op_not f 0 r;
-      r
-    end
-  end
-
-and par_ite m dc depth f g h =
-  if f = true_id then g
-  else if f = false_id then h
-  else if g = h then g
-  else if g = true_id && h = false_id then f
-  else if g = false_id && h = true_id then par_not m dc depth f
-  else begin
-    let tag = op_ite lor (h lsl 5) in
-    let r = dcache_lookup m dc tag f g in
-    if r >= 0 then r
-    else begin
-      let lf = level m f and lg = level m g and lh = level m h in
-      let lmin = min lf (min lg lh) in
-      let v = m.invperm.(lmin) in
-      let f0, f1 = cofactors m f v in
-      let g0, g1 = cofactors m g v in
-      let h0, h1 = cofactors m h v in
-      let r0, r1 =
-        par_pair m dc depth
-          (fun dc d -> par_ite m dc d f0 g0 h0)
-          (fun dc d -> par_ite m dc d f1 g1 h1)
-      in
-      let r = mk_locked m dc v r0 r1 in
-      dcache_store dc tag f g r;
-      r
-    end
-  end
-
-and par_exists m dc depth f cube =
-  if is_const f || cube = true_id then f
-  else begin
-    let lf = level m f in
-    let rec advance cube =
-      if cube = true_id then cube
-      else if level m cube < lf then advance m.hi_arr.(cube)
-      else cube
-    in
-    let cube = advance cube in
-    if cube = true_id then f
-    else begin
-      let r = dcache_lookup m dc op_exists f cube in
-      if r >= 0 then r
-      else begin
-        let v = m.var_arr.(f) in
-        let lo = m.lo_arr.(f) and hi = m.hi_arr.(f) in
-        let r =
-          if level m cube = lf then begin
-            let cube' = m.hi_arr.(cube) in
-            let r0, r1 =
-              par_pair m dc depth
-                (fun dc d -> par_exists m dc d lo cube')
-                (fun dc d -> par_exists m dc d hi cube')
-            in
-            par_or m dc depth r0 r1
-          end
-          else begin
-            let r0, r1 =
-              par_pair m dc depth
-                (fun dc d -> par_exists m dc d lo cube)
-                (fun dc d -> par_exists m dc d hi cube)
-            in
-            mk_locked m dc v r0 r1
-          end
-        in
-        dcache_store dc op_exists f cube r;
-        r
-      end
-    end
-  end
-
-and par_and_exists m dc depth f g cube =
-  if f = false_id || g = false_id then false_id
-  else if cube = true_id then par_and m dc depth f g
-  else if f = true_id then par_exists m dc depth g cube
-  else if g = true_id then par_exists m dc depth f cube
-  else begin
-    let f, g = if f < g then (f, g) else (g, f) in
-    let lf = level m f and lg = level m g in
-    let ltop = min lf lg in
-    let rec advance cube =
-      if cube = true_id then cube
-      else if level m cube < ltop then advance m.hi_arr.(cube)
-      else cube
-    in
-    let cube = advance cube in
-    if cube = true_id then par_and m dc depth f g
-    else begin
-      let tag = op_and_exists lor (cube lsl 5) in
-      let r = dcache_lookup m dc tag f g in
-      if r >= 0 then r
-      else begin
-        let v = m.invperm.(ltop) in
-        let f0, f1 = cofactors m f v and g0, g1 = cofactors m g v in
-        let r =
-          if level m cube = ltop then begin
-            let cube' = m.hi_arr.(cube) in
-            if depth < m.par_fork_depth then begin
-              (* Forked: compute both quantified cofactors concurrently;
-                 the sequential true-short-circuit is given up in exchange
-                 for the overlap. *)
-              let r0, r1 =
-                par_pair m dc depth
-                  (fun dc d -> par_and_exists m dc d f0 g0 cube')
-                  (fun dc d -> par_and_exists m dc d f1 g1 cube')
-              in
-              par_or m dc depth r0 r1
-            end
-            else begin
-              let d = depth + 1 in
-              let r0 = par_and_exists m dc d f0 g0 cube' in
-              if r0 = true_id then true_id
-              else par_or m dc depth r0 (par_and_exists m dc d f1 g1 cube')
-            end
-          end
-          else begin
-            let r0, r1 =
-              par_pair m dc depth
-                (fun dc d -> par_and_exists m dc d f0 g0 cube)
-                (fun dc d -> par_and_exists m dc d f1 g1 cube)
-            in
-            mk_locked m dc v r0 r1
-          end
-        in
-        dcache_store dc tag f g r;
-        r
-      end
-    end
-  end
-
-(* Fork/join of the two cofactor recursions.  Above the depth cutoff both
-   run inline (counted as a cutoff hit); below it, one is forked onto the
-   pool and the other runs here.  The forked future is ALWAYS joined —
-   even when the inline branch raised — so the section has quiesced by
-   the time an exception reaches [run_parallel]. *)
-and par_pair m dc depth k0 k1 =
-  if depth < m.par_fork_depth then begin
-    let pool = match m.pool with Some p -> p | None -> assert false in
-    let d = depth + 1 in
-    let fut = Pool.fork pool (fun () -> k1 (get_dctx m) d) in
-    let r0 = try Ok (k0 dc d) with e -> Error e in
-    let r1 = try Ok (Pool.join pool fut) with e -> Error e in
-    match (r0, r1) with
-    | Ok a, Ok b -> (a, b)
-    | Error e, _ | _, Error e -> raise e
-  end
-  else begin
-    dc.dc_cutoff <- dc.dc_cutoff + 1;
-    let d = depth + 1 in
-    let a = k0 dc d in
-    let b = k1 dc d in
-    (a, b)
-  end
-
-(* Replay the bookkeeping [mk_locked] deferred, on the (now quiescent)
-   manager: count consumed chunk ranges into nodecount/deadcount first,
-   THEN give children their references — the order matters because
-   [incr_ref] on a section-allocated rc-0 child adjusts a deadcount that
-   must already include it.  Unconsumed chunk slots return to the free
-   list, preserving [free + nodecount = used - 2]. *)
-let section_fixup m =
-  let reg = m.dreg in
-  Mutex.lock reg.reg_lock;
-  let dcs = reg.reg_all in
-  Mutex.unlock reg.reg_lock;
-  let ranges = ref [] in
-  List.iter
-    (fun dc ->
-      for id = dc.dc_chunk to dc.dc_chunk_end - 1 do
-        m.lo_arr.(id) <- m.free_list;
-        m.free_list <- id
-      done;
-      if dc.dc_chunk_start < dc.dc_chunk then
-        ranges := (dc.dc_chunk_start, dc.dc_chunk) :: !ranges;
-      ranges := dc.dc_ranges @ !ranges;
-      dc.dc_ranges <- [];
-      dc.dc_chunk_start <- 0;
-      dc.dc_chunk <- 0;
-      dc.dc_chunk_end <- 0)
-    dcs;
-  List.iter
-    (fun (s, e) ->
-      m.nodecount <- m.nodecount + (e - s);
-      m.deadcount <- m.deadcount + (e - s))
-    !ranges;
-  List.iter
-    (fun (s, e) ->
-      for id = s to e - 1 do
-        incr_ref m m.lo_arr.(id);
-        incr_ref m m.hi_arr.(id)
-      done)
-    !ranges
-
-let par_headroom m = 16 * m.kernel_jobs * par_chunk
-
-(* Run [f] as a parallel section.  Returns [None] on arena-headroom
-   overflow — the caller falls back to the sequential kernel (which can
-   grow the arena freely).  A budget breach follows the same consistency
-   protocol as [do_limit_check]: fixup, wipe every cache, record the
-   interrupt, raise [Interrupted]. *)
-let run_parallel m f =
-  let _ = ensure_pool m in
-  if m.used + par_headroom m > Array.length m.var_arr then
-    grow_arenas m (m.used + par_headroom m);
-  Atomic.set m.par_abort false;
-  m.par_abort_reason <- None;
-  m.par_used0 <- m.used;
-  m.intra_ops <- m.intra_ops + 1;
-  let finish_abort () =
-    section_fixup m;
-    clear_caches m;
-    let r = Option.value m.par_abort_reason ~default:Limits.Cancelled in
-    note_interrupt m r;
-    raise (Interrupted r)
-  in
-  match f (get_dctx m) with
-  | r ->
-      section_fixup m;
-      Some r
-  | exception Par_overflow ->
-      if Atomic.get m.par_abort then finish_abort ()
-      else begin
-        section_fixup m;
-        None
-      end
-  | exception Par_abort -> finish_abort ()
-
-(* Dispatch: with [kernel_jobs <= 1] these shadowing wrappers take the
-   [else] branch, i.e. the untouched sequential kernels above — the
-   single-thread path allocates and behaves exactly as before.  [None]
-   from [run_parallel] means the pre-reserved headroom ran out; the
-   sequential retry can grow the arena and starts from a unique table
-   already populated with the section's partial results. *)
-let apply_and m f g =
-  if m.kernel_jobs > 1 && not (is_const f) && not (is_const g) then
-    match run_parallel m (fun dc -> par_and m dc 0 f g) with
-    | Some r -> r
-    | None -> apply_and m f g
-  else apply_and m f g
-
-let apply_ite m f g h =
-  if m.kernel_jobs > 1 && not (is_const f) then
-    match run_parallel m (fun dc -> par_ite m dc 0 f g h) with
-    | Some r -> r
-    | None -> apply_ite m f g h
-  else apply_ite m f g h
-
-let apply_exists m f cube =
-  if m.kernel_jobs > 1 && not (is_const f) && cube <> true_id then
-    match run_parallel m (fun dc -> par_exists m dc 0 f cube) with
-    | Some r -> r
-    | None -> apply_exists m f cube
-  else apply_exists m f cube
-
-let apply_and_exists m f g cube =
-  if m.kernel_jobs > 1 && not (is_const f) && not (is_const g) then
-    match run_parallel m (fun dc -> par_and_exists m dc 0 f g cube) with
-    | Some r -> r
-    | None -> apply_and_exists m f g cube
-  else apply_and_exists m f g cube
-
-let kernel_jobs m = m.kernel_jobs
-
-(* Changing the job count tears down the pool (the counters are folded
-   into the manager first so stats stay monotone); a new pool spins up
-   lazily on the next parallel operation. *)
-let set_kernel_jobs m n =
-  let n = max 1 n in
-  if n <> m.kernel_jobs then begin
-    (match m.pool with
-    | Some p ->
-        let f, s = Pool.counters p in
-        m.intra_forked0 <- m.intra_forked0 + f;
-        m.intra_stolen0 <- m.intra_stolen0 + s;
-        Pool.shutdown p;
-        m.pool <- None
-    | None -> ());
-    m.kernel_jobs <- n;
-    m.par_fork_depth <- fork_depth_for n
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1861,17 +1221,6 @@ let stats m : Obs.man_stats =
           misses = m.cache_misses.(i);
         })
   in
-  let dcs =
-    let reg = m.dreg in
-    Mutex.lock reg.reg_lock;
-    let l = reg.reg_all in
-    Mutex.unlock reg.reg_lock;
-    List.rev l
-  in
-  let sum f = List.fold_left (fun acc dc -> acc + f dc) 0 dcs in
-  let pool_forked, pool_stolen =
-    match m.pool with Some p -> Pool.counters p | None -> (0, 0)
-  in
   {
     Obs.cache =
       {
@@ -1892,7 +1241,7 @@ let stats m : Obs.man_stats =
       };
     limits =
       {
-        Obs.Limit.checks = m.limit_checks + sum (fun dc -> dc.dc_checks);
+        Obs.Limit.checks = m.limit_checks;
         interrupts =
           List.filter
             (fun (_, n) -> n > 0)
@@ -1907,18 +1256,6 @@ let stats m : Obs.man_stats =
         bytes = m.snap_bytes;
         export_time = m.snap_export_time;
         import_time = m.snap_import_time;
-      };
-    intra =
-      {
-        Obs.Intra.domains = List.length dcs;
-        ops = m.intra_ops;
-        forked = m.intra_forked0 + pool_forked;
-        stolen = m.intra_stolen0 + pool_stolen;
-        cutoff_hits = sum (fun dc -> dc.dc_cutoff);
-        lock_contention = sum (fun dc -> dc.dc_waits);
-        cache_hits = sum (fun dc -> dc.dc_hits);
-        cache_misses = sum (fun dc -> dc.dc_misses);
-        per_domain = List.map (fun dc -> (dc.dc_hits, dc.dc_misses)) dcs;
       };
   }
 

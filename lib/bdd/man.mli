@@ -20,20 +20,7 @@ type node_id = int
 val false_id : node_id
 val true_id : node_id
 
-val create : ?initial_capacity:int -> ?kernel_jobs:int -> unit -> t
-(** [kernel_jobs] (default 1) sets the intra-operation parallelism degree:
-    with [kernel_jobs > 1] the [and]/[ite]/[exists]/[and_exists] kernels
-    run as fork-join parallel sections over a persistent domain pool (see
-    {!set_kernel_jobs}); with 1, every code path is the sequential one. *)
-
-val set_kernel_jobs : t -> int -> unit
-(** Change the intra-operation parallelism degree (clamped to >= 1).  Safe
-    between operations: the old pool is shut down and a new one spins up
-    lazily on the next parallel apply.  Results are bit-identical across
-    job counts — the kernels are deterministic up to node ids, and
-    canonicity makes exported snapshots id-independent. *)
-
-val kernel_jobs : t -> int
+val create : ?initial_capacity:int -> unit -> t
 
 (** {1 Variables and structure} *)
 

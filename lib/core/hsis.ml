@@ -58,13 +58,11 @@ let set_reach_profile d b = d.profile_reach <- b
 let set_reach_simplify d b = d.simplify_reach <- b
 let set_limits d l = d.limits <- l
 let limits d = d.limits
-let set_kernel_jobs d n = Bdd.set_kernel_jobs (Trans.man d.trans) n
-let kernel_jobs d = Bdd.kernel_jobs (Trans.man d.trans)
 
 let timed f = Obs.Clock.wall f
 
 let read_flat ?(heuristic = Trans.Min_width) ?(strategy = Trans.Partitioned)
-    ?kernel_jobs ?(prov = []) ?verilog_lines ?timers flat =
+    ?(prov = []) ?verilog_lines ?timers flat =
   let timers =
     match timers with Some t -> t | None -> Obs.Timers.create ()
   in
@@ -74,7 +72,7 @@ let read_flat ?(heuristic = Trans.Min_width) ?(strategy = Trans.Partitioned)
         let net, sym =
           Obs.Timers.time timers "order" (fun () ->
               let net = Net.of_model flat in
-              let man = Bdd.new_man ?kernel_jobs () in
+              let man = Bdd.new_man () in
               (net, Sym.make man net))
         in
         let trans =
@@ -91,15 +89,15 @@ let read_flat ?(heuristic = Trans.Min_width) ?(strategy = Trans.Partitioned)
     reach_cache = None; reach_order_rev = 0; profile_reach = true;
     simplify_reach = false; shared_cache = None }
 
-let read_blifmv ?heuristic ?strategy ?kernel_jobs src =
+let read_blifmv ?heuristic ?strategy src =
   let timers = Obs.Timers.create () in
   let ast = Obs.Timers.time timers "parse" (fun () -> Parser.parse src) in
   let flat, prov =
     Obs.Timers.time timers "flatten" (fun () -> Flatten.flatten_prov ast)
   in
-  read_flat ?heuristic ?strategy ?kernel_jobs ~prov ~timers flat
+  read_flat ?heuristic ?strategy ~prov ~timers flat
 
-let read_verilog ?heuristic ?strategy ?kernel_jobs src =
+let read_verilog ?heuristic ?strategy src =
   let timers = Obs.Timers.create () in
   let verilog_lines = Ast.line_count src in
   let ast =
@@ -108,7 +106,7 @@ let read_verilog ?heuristic ?strategy ?kernel_jobs src =
   let flat, prov =
     Obs.Timers.time timers "flatten" (fun () -> Flatten.flatten_prov ast)
   in
-  read_flat ?heuristic ?strategy ?kernel_jobs ~prov ~verilog_lines ~timers flat
+  read_flat ?heuristic ?strategy ~prov ~verilog_lines ~timers flat
 
 (* Reorder generation of the design's manager: the reach cache is only
    valid for the variable order it was computed under, so it carries the
@@ -378,23 +376,18 @@ let design_of_shared sd =
   d
 
 (* Parallel property checking: fan the (design × property) pairs of a PIF
-   file out over a [Par] domain pool.  Two modes:
+   file out over a [Par] domain pool.  The coordinator builds the
+   relation — and, when any CTL property will need it, the reachability
+   fixpoint — once, exports them as a [Bdd.snapshot], and every task
+   rehydrates into a fresh manager inside its domain ([design_of_shared]),
+   skipping the per-task relation build and reach fixpoint entirely.
 
-   - shared-work (default): the coordinator builds the relation — and,
-     when any CTL property will need it, the reachability fixpoint — once,
-     exports them as a [Bdd.snapshot], and every task rehydrates into a
-     fresh manager inside its domain ([design_of_shared]), skipping the
-     per-task relation build and reach fixpoint entirely;
-   - share-nothing ([~share:false]): every task rebuilds the design from
-     the flattened AST, repeating that work per property (kept for
-     comparison benchmarks).
-
-   Either way no BDD state crosses domains while workers run — snapshots
-   are plain int arrays.  Results are collected by task index, so the
+   No BDD state crosses domains while workers run — snapshots are plain
+   int arrays.  Results are collected by task index, so the
    report lists properties in PIF order regardless of which worker
    finished first. *)
 let run_pif_par ?(early_failure = true) ?(witnesses = false)
-    ?(fail_fast = false) ?(share = true) ?limits ~jobs d (pif : Pif.t) =
+    ?(fail_fast = false) ?limits ~jobs d (pif : Pif.t) =
   let open Hsis_par in
   let limits = Option.value limits ~default:d.limits in
   let tasks =
@@ -406,17 +399,6 @@ let run_pif_par ?(early_failure = true) ?(witnesses = false)
             | Some aut -> `Lc aut
             | None -> invalid_arg ("run_pif_par: unknown automaton " ^ name))
           pif.Pif.p_lc)
-  in
-  let shared =
-    if not share || jobs <= 1 then None
-    else begin
-      (* The reach fixpoint is per-design work every CTL task repeats:
-         run it once here so the export ships the result.  A budget
-         interrupt just leaves the cache unfilled — workers then compute
-         reach themselves under their own budgets, as before. *)
-      if pif.Pif.p_ctl <> [] then ignore (reachable ~limits d);
-      Some (share_design d)
-    end
   in
   (* One rehydrated design per worker domain, not per task: the first
      task a worker runs imports the snapshot, later tasks on the same
@@ -436,25 +418,19 @@ let run_pif_par ?(early_failure = true) ?(witnesses = false)
              ~trace:witnesses ~limits sub aut)
   in
   let zero_snap = Obs.merge [] in
-  let run_task ~cancelled i =
+  let run_task sd ~cancelled i =
     (* Bridge pool-level cancellation (fail-fast, sibling failure) into the
        task's own budget so BDD kernels poll it. *)
     let sub, before =
-      match shared with
-      | Some sd -> (
-          match Domain.DLS.get worker_design with
-          | Some (sd', sub) when sd' == sd ->
-              (* warm: count only this task's increments, so the merged
-                 document still sums to the run's totals *)
-              (sub, Some (snapshot sub))
-          | _ ->
-              let sub = design_of_shared sd in
-              Domain.DLS.set worker_design (Some (sd, sub));
-              (sub, None))
-      | None ->
-          ( read_flat ~heuristic:d.heuristic
-              ~strategy:(Trans.strategy d.trans) ~prov:d.prov d.flat,
-            None )
+      match Domain.DLS.get worker_design with
+      | Some (sd', sub) when sd' == sd ->
+          (* warm: count only this task's increments, so the merged
+             document still sums to the run's totals *)
+          (sub, Some (snapshot sub))
+      | _ ->
+          let sub = design_of_shared sd in
+          Domain.DLS.set worker_design (Some (sd, sub));
+          (sub, None)
     in
     sub.profile_reach <- false;
     sub.simplify_reach <- d.simplify_reach;
@@ -494,9 +470,16 @@ let run_pif_par ?(early_failure = true) ?(witnesses = false)
       (results, [ { Obs.w_tasks = !ran; w_time = Obs.Clock.now () -. t0 } ])
     end
     else begin
+      (* The reach fixpoint is per-design work every CTL task repeats:
+         run it once here so the export ships the result.  A budget
+         interrupt just leaves the cache unfilled — workers then compute
+         reach themselves under their own budgets. *)
+      if pif.Pif.p_ctl <> [] then ignore (reachable ~limits d);
+      let sd = share_design d in
       let stop_when = if fail_fast then Some (fun _ r -> failed r) else None in
       let results, pstats =
-        Par.run ~jobs ~limits ?stop_when ~tasks:(Array.length tasks) run_task
+        Par.run ~jobs ~limits ?stop_when ~tasks:(Array.length tasks)
+          (run_task sd)
       in
       (results, Par.worker_samples pstats)
     end
@@ -637,12 +620,12 @@ module Session = struct
   }
 
   let open_ ?(heuristic = Trans.Min_width) ?(tr = Trans.Partitioned)
-      ?kernel_jobs source =
+      source =
     let design =
       match source with
-      | Verilog s -> read_verilog ~heuristic ~strategy:tr ?kernel_jobs s
-      | Blifmv s -> read_blifmv ~heuristic ~strategy:tr ?kernel_jobs s
-      | Flat m -> read_flat ~heuristic ~strategy:tr ?kernel_jobs m
+      | Verilog s -> read_verilog ~heuristic ~strategy:tr s
+      | Blifmv s -> read_blifmv ~heuristic ~strategy:tr s
+      | Flat m -> read_flat ~heuristic ~strategy:tr m
     in
     { s_id = hash source; s_heuristic = heuristic; s_design = design;
       s_hits = 0; s_closed = false }
@@ -669,24 +652,18 @@ module Session = struct
     s.s_design.shared_cache <- None
 
   let run ?(early_failure = true) ?(witnesses = false) ?(fail_fast = false)
-      ?(jobs = 1) ?limits ?tr ?kernel_jobs:kj s pif =
+      ?(jobs = 1) ?limits ?tr s pif =
     if s.s_closed then invalid_arg "Hsis.Session.run: session is closed";
-    (* A per-run [tr] (or [kernel_jobs]) flips the evaluation path for the
-       duration of the run, then restores the session's resident setting.
-       Construction sharing is fixed at open time; runs are serialized per
-       session, so the flip cannot race another run. *)
+    (* A per-run [tr] flips the evaluation path for the duration of the
+       run, then restores the session's resident setting.  Construction
+       sharing is fixed at open time; runs are serialized per session, so
+       the flip cannot race another run. *)
     let resident = Trans.strategy s.s_design.trans in
-    let resident_kj = kernel_jobs s.s_design in
     (match tr with
     | Some strat -> Trans.set_strategy s.s_design.trans strat
     | None -> ());
-    (match kj with
-    | Some n -> set_kernel_jobs s.s_design n
-    | None -> ());
     Fun.protect
-      ~finally:(fun () ->
-        Trans.set_strategy s.s_design.trans resident;
-        set_kernel_jobs s.s_design resident_kj)
+      ~finally:(fun () -> Trans.set_strategy s.s_design.trans resident)
       (fun () ->
         if jobs > 1 || fail_fast then
           let r, snap =

@@ -91,40 +91,26 @@ val set_limits : design -> Limits.t -> unit
 
 val limits : design -> Limits.t
 
-val set_kernel_jobs : design -> int -> unit
-(** Set the intra-operation parallelism degree of the design's BDD manager
-    (clamped to >= 1; see [Bdd.set_kernel_jobs]).  With more than one job
-    the apply kernels fork cofactor recursions onto a persistent domain
-    pool; results are bit-identical across job counts.  Safe between
-    engine calls. *)
-
-val kernel_jobs : design -> int
-
 val read_verilog :
   ?heuristic:Trans.heuristic ->
   ?strategy:Trans.strategy ->
-  ?kernel_jobs:int ->
   string ->
   design
 
 val read_blifmv :
   ?heuristic:Trans.heuristic ->
   ?strategy:Trans.strategy ->
-  ?kernel_jobs:int ->
   string ->
   design
 (** [strategy] (default [Partitioned]) selects the transition-relation
     representation ({!Trans.strategy}).  The hierarchical front ends record
     flattening provenance and hand it to the relation builder, so
     [~strategy:Iso_shared] shares component BDDs across isomorphic
-    [.subckt] / Verilog-module instances.  [kernel_jobs] (default 1) sets
-    the manager's intra-operation parallelism degree
-    ({!val-set_kernel_jobs}). *)
+    [.subckt] / Verilog-module instances. *)
 
 val read_flat :
   ?heuristic:Trans.heuristic ->
   ?strategy:Trans.strategy ->
-  ?kernel_jobs:int ->
   ?prov:Flatten.provenance ->
   ?verilog_lines:int ->
   ?timers:Obs.Timers.t ->
@@ -236,22 +222,20 @@ val run_pif_par :
   ?early_failure:bool ->
   ?witnesses:bool ->
   ?fail_fast:bool ->
-  ?share:bool ->
   ?limits:Limits.t ->
   jobs:int ->
   design ->
   Pif.t ->
   report * Obs.snapshot
 (** {!run_pif} fanned out over a [Par] domain pool, one task per property.
-    By default ([share]) the coordinator builds the relation — and the
-    reachability fixpoint, when any CTL property is present — once,
-    exports them with {!share_design}, and each task rehydrates with
-    {!design_of_shared} into its own fresh manager: per-design work is
-    done once instead of once per property.  With [~share:false] every
-    task rebuilds the design from the flattened AST (the original
-    share-nothing mode, kept for comparison benchmarks).  Language-
-    containment products are still built per task in both modes
-    ([Lc.check] works from the flattened AST).  Results are keyed by
+    The coordinator builds the relation — and the reachability fixpoint,
+    when any CTL property is present — once, exports them with
+    {!share_design}, and each task rehydrates with {!design_of_shared}
+    into its own fresh manager: per-design work is done once instead of
+    once per property.  Language-containment products are still built
+    per task ([Lc.check] works from the flattened AST).  With
+    [jobs <= 1] the tasks run in order on the design itself, with no
+    pool and no export.  Results are keyed by
     property index, so the report lists properties in PIF order and
     verdicts match {!run_pif} regardless of scheduling.  The design's
     {!val-limits} deadline / cancellation governs the whole pool; with
@@ -319,13 +303,11 @@ module Session : sig
   val open_ :
     ?heuristic:Trans.heuristic ->
     ?tr:Trans.strategy ->
-    ?kernel_jobs:int ->
     source ->
     t
   (** Read the design and pin its artifacts.  [tr] (default [Partitioned])
-      is the construction-time TR strategy ({!read_blifmv});
-      [kernel_jobs] (default 1) the manager's intra-operation parallelism
-      degree.  [Session.id] of the result is [hash source]. *)
+      is the construction-time TR strategy ({!read_blifmv}).
+      [Session.id] of the result is [hash source]. *)
 
   val id : t -> string
   val design : t -> design
@@ -357,7 +339,6 @@ module Session : sig
     ?jobs:int ->
     ?limits:Limits.t ->
     ?tr:Trans.strategy ->
-    ?kernel_jobs:int ->
     t ->
     Pif.t ->
     report * Obs.snapshot option
@@ -365,13 +346,10 @@ module Session : sig
       when [jobs <= 1] and not [fail_fast], {!run_pif_par} (returning the
       pool-merged snapshot) otherwise.  [limits] governs this run only.
       [tr] flips the relation's image/preimage evaluation path
-      ([Trans.set_strategy]) and [kernel_jobs] the manager's
-      intra-operation parallelism degree, both for this run only — the
-      session's resident settings are restored afterwards;
-      construction-time sharing stays as opened.  [jobs] workers each get
-      their own manager and stay at [kernel_jobs = 1] (the two degrees
-      multiply domains otherwise).  Raises [Invalid_argument] on a closed
-      session. *)
+      ([Trans.set_strategy]) for this run only — the session's resident
+      strategy is restored afterwards; construction-time sharing stays as
+      opened.  [jobs] workers each get their own manager.  Raises
+      [Invalid_argument] on a closed session. *)
 
   val close : t -> unit
   (** Drop the session's cached artifacts and mark it closed ({!run}

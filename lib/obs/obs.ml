@@ -351,35 +351,6 @@ module Snap = struct
       import_time = 0.0 }
 end
 
-module Intra = struct
-  (* Intra-operation parallel kernel activity (kernel_jobs > 1): how many
-     per-domain contexts the manager created, how many top-level apply
-     calls ran as parallel sections, fork/steal traffic on the kernel
-     pool, granularity-cutoff hits, unique-table lock contention, and the
-     per-domain computed-cache hit/miss tallies (aggregate plus the
-     per-context breakdown).  All monotone except [domains] and
-     [per_domain], which are gauges over the live contexts. *)
-  type t = {
-    domains : int;
-    ops : int;
-    forked : int;
-    stolen : int;
-    cutoff_hits : int;
-    lock_contention : int;
-    cache_hits : int;
-    cache_misses : int;
-    per_domain : (int * int) list; (* (hits, misses) per domain context *)
-  }
-
-  let zero =
-    { domains = 0; ops = 0; forked = 0; stolen = 0; cutoff_hits = 0;
-      lock_contention = 0; cache_hits = 0; cache_misses = 0; per_domain = [] }
-
-  let hit_rate t =
-    let l = t.cache_hits + t.cache_misses in
-    if l = 0 then 0.0 else float_of_int t.cache_hits /. float_of_int l
-end
-
 type man_stats = {
   cache : Cache.t;
   gc : Gc.t;
@@ -387,7 +358,6 @@ type man_stats = {
   arena : Arena.t;
   limits : Limit.t;
   snap : Snap.t;
-  intra : Intra.t;
 }
 
 type reach_sample = {
@@ -574,28 +544,6 @@ let diff before after =
               subf after.man.snap.Snap.import_time
                 before.man.snap.Snap.import_time;
           };
-        intra =
-          {
-            Intra.domains = after.man.intra.Intra.domains;
-            ops = sub after.man.intra.Intra.ops before.man.intra.Intra.ops;
-            forked =
-              sub after.man.intra.Intra.forked before.man.intra.Intra.forked;
-            stolen =
-              sub after.man.intra.Intra.stolen before.man.intra.Intra.stolen;
-            cutoff_hits =
-              sub after.man.intra.Intra.cutoff_hits
-                before.man.intra.Intra.cutoff_hits;
-            lock_contention =
-              sub after.man.intra.Intra.lock_contention
-                before.man.intra.Intra.lock_contention;
-            cache_hits =
-              sub after.man.intra.Intra.cache_hits
-                before.man.intra.Intra.cache_hits;
-            cache_misses =
-              sub after.man.intra.Intra.cache_misses
-                before.man.intra.Intra.cache_misses;
-            per_domain = after.man.intra.Intra.per_domain;
-          };
       };
     phases = List.map phase_diff after.phases;
     reach = after.reach;
@@ -606,7 +554,7 @@ let diff before after =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Merging share-nothing parallel runs *)
+(* Merging per-worker snapshots of parallel runs *)
 
 (* Sum an assoc tally in first-seen key order — associative because list
    concatenation is, and each key's total is a plain sum. *)
@@ -693,19 +641,6 @@ let merge snapshots =
           export_time = sumf (fun m -> m.snap.Snap.export_time);
           import_time = sumf (fun m -> m.snap.Snap.import_time);
         };
-      intra =
-        {
-          Intra.domains = sum (fun m -> m.intra.Intra.domains);
-          ops = sum (fun m -> m.intra.Intra.ops);
-          forked = sum (fun m -> m.intra.Intra.forked);
-          stolen = sum (fun m -> m.intra.Intra.stolen);
-          cutoff_hits = sum (fun m -> m.intra.Intra.cutoff_hits);
-          lock_contention = sum (fun m -> m.intra.Intra.lock_contention);
-          cache_hits = sum (fun m -> m.intra.Intra.cache_hits);
-          cache_misses = sum (fun m -> m.intra.Intra.cache_misses);
-          per_domain =
-            List.concat_map (fun m -> m.intra.Intra.per_domain) mans;
-        };
     }
   in
   let first_non_empty f =
@@ -758,21 +693,6 @@ let pp fmt s =
       (fun (name, n) -> Format.fprintf fmt ", %d %s interrupts" n name)
       l.Limit.interrupts;
     Format.fprintf fmt "@."
-  end;
-  let it = s.man.intra in
-  if it.Intra.ops > 0 || it.Intra.domains > 0 then begin
-    Format.fprintf fmt
-      "intra       : %d domains, %d parallel ops, %d forked (%d stolen), %d \
-       cutoff hits, %d lock waits, %.1f%% domain-cache hit rate@."
-      it.Intra.domains it.Intra.ops it.Intra.forked it.Intra.stolen
-      it.Intra.cutoff_hits it.Intra.lock_contention
-      (100.0 *. Intra.hit_rate it);
-    List.iteri
-      (fun i (h, m) ->
-        if h + m > 0 then
-          Format.fprintf fmt "  d%-9d %9d hits %9d misses  (%.1f%%)@." i h m
-            (100.0 *. float_of_int h /. float_of_int (h + m)))
-      it.Intra.per_domain
   end;
   let sn = s.man.snap in
   if sn.Snap.exports > 0 || sn.Snap.imports > 0 then
@@ -851,12 +771,12 @@ let pp fmt s =
    "simplify_saved" member of the reach profile; /5 added the "snapshot"
    object (BDD export/import traffic of the shared-work parallel path);
    /6 added the "tr" object (transition-relation strategy and isomorphism
-   sharing counters); /7 adds the "intra" object (intra-operation parallel
-   kernel counters: domains, forked/stolen tasks, cutoff hits, unique-table
-   lock contention, per-domain computed-cache hit rates).  Each bump is
-   additive: older readers ignore the new members, and of_json defaults
-   them to zero/empty when reading older documents. *)
-let schema_version = "hsis-obs/7"
+   sharing counters); /7 added the "intra" object (counters of the
+   intra-operation parallel kernels); /8 drops it again, with the kernels.
+   Every other bump was additive: older readers ignore the new members,
+   and of_json defaults them to zero/empty when reading older documents
+   and ignores an "intra" member. *)
+let schema_version = "hsis-obs/8"
 
 let to_json s =
   let open Json in
@@ -916,22 +836,6 @@ let to_json s =
              ("bytes", Int s.man.snap.Snap.bytes);
              ("export_s", Float s.man.snap.Snap.export_time);
              ("import_s", Float s.man.snap.Snap.import_time) ] );
-       ( "intra",
-         Obj
-           [ ("domains", Int s.man.intra.Intra.domains);
-             ("ops", Int s.man.intra.Intra.ops);
-             ("forked", Int s.man.intra.Intra.forked);
-             ("stolen", Int s.man.intra.Intra.stolen);
-             ("cutoff_hits", Int s.man.intra.Intra.cutoff_hits);
-             ("lock_contention", Int s.man.intra.Intra.lock_contention);
-             ("cache_hits", Int s.man.intra.Intra.cache_hits);
-             ("cache_misses", Int s.man.intra.Intra.cache_misses);
-             ( "per_domain",
-               List
-                 (List.map
-                    (fun (h, m) ->
-                      Obj [ ("hits", Int h); ("misses", Int m) ])
-                    s.man.intra.Intra.per_domain) ) ] );
        ( "verdicts",
          Obj (List.map (fun (n, v) -> (n, Int v)) s.verdicts) );
        ("phases", List (List.map phase s.phases));
@@ -1045,24 +949,6 @@ let of_json j =
       import_time = to_float (member "import_s" js);
     }
   in
-  (* Absent on /1–/6 documents; default to zero activity. *)
-  let intra =
-    let ji = Option.value ~default:(Obj []) (member "intra" j) in
-    {
-      Intra.domains = to_int (member "domains" ji);
-      ops = to_int (member "ops" ji);
-      forked = to_int (member "forked" ji);
-      stolen = to_int (member "stolen" ji);
-      cutoff_hits = to_int (member "cutoff_hits" ji);
-      lock_contention = to_int (member "lock_contention" ji);
-      cache_hits = to_int (member "cache_hits" ji);
-      cache_misses = to_int (member "cache_misses" ji);
-      per_domain =
-        List.map
-          (fun jd -> (to_int (member "hits" jd), to_int (member "misses" jd)))
-          (to_list (member "per_domain" ji));
-    }
-  in
   let verdicts = int_tally (member "verdicts" j) in
   let phases =
     List.map
@@ -1119,7 +1005,7 @@ let of_json j =
             tr_permute_time = to_float (member "permute_s" jt);
           }
   in
-  { man = { cache; gc; reorder; arena; limits; snap; intra }; phases; reach;
+  { man = { cache; gc; reorder; arena; limits; snap }; phases; reach;
     relation; tr; verdicts; workers }
 
 let json_string s = Json.to_string (to_json s)

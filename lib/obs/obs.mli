@@ -131,27 +131,6 @@ module Snap : sig
   val zero : t
 end
 
-module Intra : sig
-  type t = {
-    domains : int;  (** per-domain kernel contexts created (gauge) *)
-    ops : int;  (** top-level apply calls run as parallel sections *)
-    forked : int;  (** cofactor tasks forked onto the kernel pool *)
-    stolen : int;  (** forked tasks executed by a non-forking domain *)
-    cutoff_hits : int;  (** recursions kept inline by the granularity cutoff *)
-    lock_contention : int;  (** unique-subtable lock acquisitions that waited *)
-    cache_hits : int;  (** per-domain computed-cache hits, all domains *)
-    cache_misses : int;  (** per-domain computed-cache misses, all domains *)
-    per_domain : (int * int) list;
-        (** per-context (hits, misses) breakdown (gauge) *)
-  }
-  (** Intra-operation parallel kernel activity ([kernel_jobs > 1]), carried
-      on snapshots inside [man_stats] as the [intra] member (since schema
-      hsis-obs/7).  All monotone except [domains] and [per_domain]. *)
-
-  val zero : t
-  val hit_rate : t -> float
-end
-
 type man_stats = {
   cache : Cache.t;
   gc : Gc.t;
@@ -159,7 +138,6 @@ type man_stats = {
   arena : Arena.t;
   limits : Limit.t;
   snap : Snap.t;
-  intra : Intra.t;
 }
 (** One BDD manager's counters, as returned by [Bdd.stats]. *)
 
@@ -277,8 +255,8 @@ val diff : snapshot -> snapshot -> snapshot
     profile, workers) taken from [after]. *)
 
 val merge : snapshot list -> snapshot
-(** Aggregate the snapshots of a share-nothing parallel run (one BDD
-    manager per task) into one document.  Counters (cache hits/misses,
+(** Aggregate the snapshots of a parallel run (one BDD manager per
+    worker) into one document.  Counters (cache hits/misses,
     evictions, gc, reorder, limit activity, verdict tallies, phase times)
     and additive gauges (live/dead/peak nodes, capacities, cache slots)
     are summed; [vars] takes the maximum; the reach profile is the first
@@ -289,13 +267,14 @@ val merge : snapshot list -> snapshot
     compose.  [merge [] ] is the all-zero snapshot. *)
 
 val schema_version : string
-(** Value of the ["schema"] member of emitted JSON ("hsis-obs/7"; /2 added
+(** Value of the ["schema"] member of emitted JSON ("hsis-obs/8"; /2 added
     the additive cache ["slots"]/["evictions"] members, /3 the ["limits"]
     object and ["verdicts"] tally, /4 the ["workers"] member and the
     per-step ["simplify_saved"] reach-profile member, /5 the ["snapshot"]
     object with BDD export/import traffic, /6 the ["tr"] object with the
     transition-relation strategy and isomorphism-sharing counters, /7 the
-    ["intra"] object with the intra-operation parallel kernel counters). *)
+    ["intra"] object with the intra-operation parallel kernel counters,
+    which /8 removed together with those kernels; {!of_json} ignores it). *)
 
 val pp : Format.formatter -> snapshot -> unit
 (** Human-readable multi-line report. *)

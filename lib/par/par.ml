@@ -34,6 +34,7 @@ type stats = {
 }
 
 let default_jobs () = Domain.recommended_domain_count ()
+let max_jobs = 127
 
 let utilization st =
   Array.map
@@ -97,7 +98,7 @@ type 'a slot = Empty | Done of 'a | Raised of exn * Printexc.raw_backtrace
 let run ?jobs ?(limits = Limits.none) ?stop_when ~tasks f =
   let jobs =
     let j = match jobs with Some j -> max 1 j | None -> default_jobs () in
-    max 1 (min j (max 1 tasks))
+    max 1 (min (min j max_jobs) (max 1 tasks))
   in
   let t0 = Obs.Clock.now () in
   let cancel = Atomic.make false in

@@ -41,6 +41,12 @@ type stats = {
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
 
+val max_jobs : int
+(** Largest worker count {!run} can start: the OCaml 5.1/5.2 runtime runs
+    at most 128 domains at once, and the calling domain is one of them.
+    Front ends reject a larger [jobs] from outside input; {!run} clamps
+    to it. *)
+
 val utilization : stats -> float array
 (** Per-worker busy / wall fraction (0 when wall is 0). *)
 
@@ -59,9 +65,9 @@ val run :
   'a option array * stats
 (** [run ~tasks f] executes [f ~cancelled i] for every [i] in
     [0 .. tasks-1] on [jobs] worker domains (default
-    {!default_jobs}, clamped to [tasks]; [jobs = 1] runs inline on the
-    calling domain, no spawn) and returns the results keyed by task
-    index.
+    {!default_jobs}, clamped to [tasks] and {!max_jobs}; [jobs = 1] runs
+    inline on the calling domain, no spawn) and returns the results keyed
+    by task index.
 
     [results.(i) = None] iff task [i] was skipped by cancellation.
     [limits] is a pool-wide budget: once its deadline passes (or its own

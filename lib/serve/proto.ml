@@ -46,7 +46,6 @@ type request = {
   r_pif : string option;
   r_budget : budget;
   r_jobs : int option;
-  r_kernel_jobs : int option;
   r_tr : Hsis_fsm.Trans.strategy option;
   r_fail_fast : bool;
   r_witnesses : bool;
@@ -160,11 +159,8 @@ let request_of_json j =
     r_budget = budget_of_json j;
     r_jobs =
       (match opt_int "jobs" j with
-      | Some n when n < 1 -> bad "\"jobs\" must be >= 1"
-      | v -> v);
-    r_kernel_jobs =
-      (match opt_int "kernel_jobs" j with
-      | Some n when n < 1 -> bad "\"kernel_jobs\" must be >= 1"
+      | Some n when n < 1 || n > Hsis_par.Par.max_jobs ->
+          bad "\"jobs\" must be between 1 and %d" Hsis_par.Par.max_jobs
       | v -> v);
     r_tr =
       (match opt_str "tr" j with
@@ -201,9 +197,6 @@ let request_to_json r =
           else [ ("budget", budget_to_json r.r_budget) ]);
          (match r.r_jobs with
          | Some n -> [ ("jobs", Obs.Json.Int n) ]
-         | None -> []);
-         (match r.r_kernel_jobs with
-         | Some n -> [ ("kernel_jobs", Obs.Json.Int n) ]
          | None -> []);
          (match r.r_tr with
          | Some s ->

@@ -77,11 +77,7 @@ type request = {
   r_pif : string option;
   r_budget : budget;
   r_jobs : int option;
-  r_kernel_jobs : int option;
-      (** per-job intra-operation parallelism override for the design
-          manager's apply kernels (wire member ["kernel_jobs"], additive
-          to hsis-serve/1; must be >= 1).  [None] leaves the session's
-          resident degree. *)
+      (** worker domains for this job, [1 .. Par.max_jobs] *)
   r_tr : Hsis_fsm.Trans.strategy option;
       (** per-job transition-relation strategy override; [None] leaves the
           daemon default (configured at startup, [part] out of the box).

@@ -133,7 +133,7 @@ let do_check t req =
   let report, snap =
     Hsis.Session.run ~witnesses:req.Proto.r_witnesses
       ~fail_fast:req.Proto.r_fail_fast ~jobs:(job_jobs t req) ~limits
-      ?tr:req.Proto.r_tr ?kernel_jobs:req.Proto.r_kernel_jobs session pif
+      ?tr:req.Proto.r_tr session pif
   in
   Scache.enforce ~keep:session t.scache;
   let obs =
@@ -155,21 +155,14 @@ let do_reach t req =
   in
   let design = Hsis.Session.design session in
   let limits = Proto.limits_of_budget (job_budget t req) in
-  (* Per-job TR / kernel_jobs overrides: flip the evaluation path and the
-     manager's parallelism degree for this job only. *)
+  (* Per-job TR override: flip the evaluation path for this job only. *)
   let resident = Trans.strategy design.Hsis.trans in
-  let resident_kj = Hsis.kernel_jobs design in
   (match req.Proto.r_tr with
   | Some s -> Trans.set_strategy design.Hsis.trans s
   | None -> ());
-  (match req.Proto.r_kernel_jobs with
-  | Some n -> Hsis.set_kernel_jobs design n
-  | None -> ());
   let r =
     Fun.protect
-      ~finally:(fun () ->
-        Trans.set_strategy design.Hsis.trans resident;
-        Hsis.set_kernel_jobs design resident_kj)
+      ~finally:(fun () -> Trans.set_strategy design.Hsis.trans resident)
       (fun () -> Hsis.reachable ~limits design)
   in
   Scache.enforce ~keep:session t.scache;

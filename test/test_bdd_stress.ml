@@ -149,86 +149,6 @@ let test_eval_crosscheck () =
       (Bdd.eval x env)
   done
 
-(* Multi-domain determinism: the same op soup, replayed from the same seed
-   on managers with kernel_jobs 1, 2 and 4, must produce identical
-   canonical results.  Node ids legitimately differ across job counts
-   (allocation order is scheduling-dependent), so the comparison goes
-   through snapshots: exporting from the parallel manager and importing
-   into the sequential one lands on the sequential manager's canonical
-   node — hash-consing makes equality an id comparison there.  No sifting
-   in this round: all three managers must keep the same variable order for
-   the windows to stay comparable step by step. *)
-let run_soup_window man steps =
-  let rng = Rng.make (seed lxor 0x2b992dd5) in
-  Bdd.set_gc_threshold man 64;
-  let vars = Array.init 10 (fun i -> Bdd.new_var ~name:(Printf.sprintf "d%d" i) man) in
-  let window =
-    Array.init 24 (fun i -> if i mod 2 = 0 then vars.(i mod 10) else Bdd.dnot vars.(i mod 10))
-  in
-  for step = 1 to steps do
-    window.(Rng.int rng (Array.length window)) <- random_op rng man vars window;
-    if step mod 400 = 0 then begin
-      Gc.full_major ();
-      ignore (Bdd.gc man)
-    end
-  done;
-  window
-
-let test_kernel_jobs_determinism () =
-  let steps = 1200 in
-  let ref_man = Bdd.new_man () in
-  let ref_window = run_soup_window ref_man steps in
-  assert_healthy ref_man "kernel_jobs=1 reference";
-  List.iter
-    (fun jobs ->
-      let man = Bdd.new_man ~kernel_jobs:jobs () in
-      let window = run_soup_window man steps in
-      assert_healthy man (Printf.sprintf "kernel_jobs=%d soup" jobs);
-      Array.iteri
-        (fun i h ->
-          let rehydrated =
-            match Bdd.import ref_man (Bdd.export (Bdd.man_of h) [ h ]) with
-            | [ r ] -> r
-            | _ -> Alcotest.fail "single-root import shape"
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf
-               "window[%d] identical under kernel_jobs=%d (HSIS_TEST_SEED=%d)"
-               i jobs seed)
-            true
-            (Bdd.equal rehydrated ref_window.(i)))
-        window)
-    [ 2; 4 ]
-
-(* Parallel sections interleaved with collections and sifting: the
-   deferred-refcount fixup and the per-domain cache wipes must keep every
-   manager invariant intact across gc/sift boundaries. *)
-let test_kernel_jobs_gc_sift () =
-  let rng = Rng.make (seed lxor 0x7f4a7c15) in
-  let man = Bdd.new_man ~kernel_jobs:2 () in
-  Bdd.set_gc_threshold man 64;
-  let vars = Array.init 10 (fun i -> Bdd.new_var ~name:(Printf.sprintf "p%d" i) man) in
-  let window =
-    Array.init 24 (fun i -> if i mod 2 = 0 then vars.(i mod 10) else Bdd.dnot vars.(i mod 10))
-  in
-  for step = 1 to 2000 do
-    window.(Rng.int rng (Array.length window)) <- random_op rng man vars window;
-    if step mod 200 = 0 then spot_identities rng man vars window;
-    if step mod 500 = 0 then begin
-      Gc.full_major ();
-      ignore (Bdd.gc man);
-      assert_healthy man (Printf.sprintf "kj=2 after gc at step %d" step)
-    end;
-    if step mod 900 = 0 then begin
-      Bdd.sift man;
-      assert_healthy man (Printf.sprintf "kj=2 after sift at step %d" step);
-      spot_identities rng man vars window
-    end
-  done;
-  Gc.full_major ();
-  ignore (Bdd.gc man);
-  assert_healthy man "kj=2 final"
-
 let () =
   Alcotest.run "bdd-stress"
     [
@@ -237,12 +157,5 @@ let () =
           Alcotest.test_case "ops + gc + sift" `Quick test_soup;
           Alcotest.test_case "auto reorder" `Quick test_soup_auto_reorder;
           Alcotest.test_case "eval crosscheck" `Quick test_eval_crosscheck;
-        ] );
-      ( "intra-parallel",
-        [
-          Alcotest.test_case "kernel_jobs determinism" `Quick
-            test_kernel_jobs_determinism;
-          Alcotest.test_case "kj=2 gc/sift interleavings" `Quick
-            test_kernel_jobs_gc_sift;
         ] );
     ]

@@ -364,7 +364,7 @@ let test_workers_roundtrip () =
       Alcotest.(check int) "v3 simplify_saved defaults 0" 0
         s.Obs.simplify_saved
   | _ -> Alcotest.fail "v3 reach profile lost");
-  Alcotest.(check string) "schema is /7" "hsis-obs/7" Obs.schema_version
+  Alcotest.(check string) "schema is /8" "hsis-obs/8" Obs.schema_version
 
 (* /6 adds the tr member (transition-relation strategy and isomorphism
    sharing counters): it must round-trip, and documents from every earlier
@@ -409,35 +409,30 @@ let test_tr_roundtrip () =
   Alcotest.(check bool) "merge finds the first present tr" true
     (m.Obs.tr = Some tr)
 
-(* /7 adds the intra member (intra-operation parallel kernel counters):
-   it must round-trip, and documents from every earlier generation — which
-   have no intra member — must parse with intra defaulting to zero. *)
-let test_intra_roundtrip () =
-  let man = Bdd.new_man ~kernel_jobs:2 () in
+(* /7 carried an "intra" member (counters of the intra-operation parallel
+   kernels, since removed): a /7 document that has one must still parse,
+   with every other member read as usual, and /8 output has no such
+   member. *)
+let test_intra_v7_compat () =
+  let doc =
+    Obs.of_json
+      (Obs.Json.parse
+         {|{"schema":"hsis-obs/7","gc":{"runs":3},
+            "arena":{"live":5,"peak_live":9},
+            "intra":{"domains":2,"ops":4,"forked":8,"stolen":1,
+                     "cutoff_hits":0,"lock_contention":0,"cache_hits":7,
+                     "cache_misses":2,"per_domain":[{"hits":7,"misses":2}]}}|})
+  in
+  Alcotest.(check int) "v7 gc runs read" 3 doc.Obs.man.Obs.gc.Obs.Gc.runs;
+  Alcotest.(check int) "v7 peak live read" 9
+    doc.Obs.man.Obs.arena.Obs.Arena.peak_live;
+  let man = Bdd.new_man () in
   ignore (workload man 6);
-  let snap = Obs.snapshot (Bdd.stats man) in
-  let snap' = Obs.of_json (Obs.Json.parse (Obs.json_string snap)) in
-  Alcotest.(check bool) "intra survives the round-trip" true
-    (snap.Obs.man.Obs.intra = snap'.Obs.man.Obs.intra);
-  Alcotest.(check bool) "parallel sections were recorded" true
-    (snap.Obs.man.Obs.intra.Obs.Intra.ops > 0);
-  List.iter
-    (fun v ->
-      let doc =
-        Obs.of_json
-          (Obs.Json.parse
-             (Printf.sprintf {|{"schema":"hsis-obs/%d","gc":{"runs":1}}|} v))
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "v%d intra defaults to zero" v)
-        true
-        (doc.Obs.man.Obs.intra = Obs.Intra.zero))
-    [ 1; 2; 3; 4; 5; 6 ];
-  (* merge sums the counters across snapshots *)
-  let m = Obs.merge [ snap; snap ] in
-  Alcotest.(check int) "merge sums intra ops"
-    (2 * snap.Obs.man.Obs.intra.Obs.Intra.ops)
-    m.Obs.man.Obs.intra.Obs.Intra.ops
+  match Obs.to_json (Obs.snapshot (Bdd.stats man)) with
+  | Obs.Json.Obj ms ->
+      Alcotest.(check bool) "/8 emits no intra member" false
+        (List.mem_assoc "intra" ms)
+  | _ -> Alcotest.fail "snapshot JSON is not an object"
 
 let () =
   Alcotest.run "obs"
@@ -467,7 +462,7 @@ let () =
             test_workers_roundtrip;
           Alcotest.test_case "tr member round-trip + compat" `Quick
             test_tr_roundtrip;
-          Alcotest.test_case "intra member round-trip + compat" `Quick
-            test_intra_roundtrip;
+          Alcotest.test_case "intra member of /7 ignored" `Quick
+            test_intra_v7_compat;
         ] );
     ]

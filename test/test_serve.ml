@@ -21,7 +21,6 @@ let full_request =
     r_budget =
       { Proto.timeout_s = Some 1.5; max_nodes = Some 1000; max_steps = None };
     r_jobs = Some 2;
-    r_kernel_jobs = Some 2;
     r_tr = Some Hsis_fsm.Trans.Iso_shared;
     r_fail_fast = true;
     r_witnesses = false;
@@ -59,6 +58,15 @@ let test_request_rejects () =
     (rejects {|{"op": "check", "design": {"fortran": "x"}}|});
   Alcotest.(check bool) "jobs not an int" true
     (rejects {|{"op": "check", "jobs": "many"}|});
+  Alcotest.(check bool) "jobs below 1" true
+    (rejects {|{"op": "check", "jobs": 0}|});
+  (* more workers than the runtime can spawn domains: refused while
+     parsing, so no domain is ever started for it *)
+  Alcotest.(check bool) "jobs above the domain limit" true
+    (rejects {|{"op":"check","jobs":100000}|});
+  Alcotest.(check bool) "jobs at the limit accepted" false
+    (rejects
+       (Printf.sprintf {|{"op": "check", "jobs": %d}|} Hsis_par.Par.max_jobs));
   Alcotest.(check bool) "not an object" true (rejects {|[1, 2]|});
   Alcotest.(check bool) "unparseable json" true (rejects "{nope")
 
@@ -217,7 +225,6 @@ let test_warm_cold_verdicts () =
           r_pif = Some m.Model.pif;
           r_budget = Proto.no_budget;
           r_jobs = None;
-          r_kernel_jobs = None;
           r_tr = None;
           r_fail_fast = false;
           r_witnesses = false;
@@ -243,6 +250,30 @@ let test_warm_cold_verdicts () =
         (m.Model.name ^ ": exit codes equal")
         cold.Proto.p_exit_code warm.Proto.p_exit_code)
     (Models.table1_small ())
+
+(* "kernel_jobs" was a request member while the manager had parallel
+   kernels; a request that still carries it is answered as if it were
+   absent, like any other unknown member. *)
+let test_kernel_jobs_member_ignored () =
+  let plain = {|{"id": 1, "op": "check", "design": {"builtin": "pingpong"}}|} in
+  let with_kj =
+    {|{"id": 1, "op": "check", "design": {"builtin": "pingpong"},
+       "kernel_jobs": 2}|}
+  in
+  Alcotest.(check bool) "parses to the same request" true
+    (Proto.parse_request with_kj = Proto.parse_request plain);
+  let server = Server.create () in
+  let answer line =
+    match Server.handle_line server line with
+    | Some ({ Proto.p_status = `Ok; p_result = Some r; _ } as resp), `Continue
+      ->
+        (property_verdicts r, resp.Proto.p_exit_code)
+    | _ -> Alcotest.fail "check did not succeed"
+  in
+  let v0, e0 = answer plain in
+  let v1, e1 = answer with_kj in
+  Alcotest.(check (list (pair string string))) "same verdicts" v0 v1;
+  Alcotest.(check int) "same exit code" e0 e1
 
 (* ------------------------------------------------------------------ *)
 (* Reorder hazard: a conclusive cached reach set must be dropped when
@@ -289,6 +320,8 @@ let () =
         [
           Alcotest.test_case "warm = cold on Table 1" `Slow
             test_warm_cold_verdicts;
+          Alcotest.test_case "kernel_jobs member ignored" `Quick
+            test_kernel_jobs_member_ignored;
         ] );
       ( "reorder",
         [
